@@ -11,7 +11,9 @@ Two reports are gated:
   campaign-cell speedup over the full-run path, plus the bit-identity flag;
 * ``BENCH_batch.json`` (written by ``benchmarks/test_perf_batch.py``)
   against ``benchmarks/baseline_batch.json`` — the lockstep batch engine's
-  campaign-cell speedup over the fork engine, plus its bit-identity flag.
+  campaign-cell speedup over the fork engine, plus its bit-identity flag;
+  and, on the unprotected divergent cell, each engine's normalised
+  throughput (runs per golden-run time) plus that cell's identity flag.
 
 A measured speedup below ``baseline * (1 - tolerance)`` fails the gate
 (exit 1).  The tolerance band is wide by default because CI machines are
@@ -124,6 +126,21 @@ def check_batch(tolerance: float) -> int:
                           tolerance)
     if failures:
         print("FAIL: campaign batch-engine speedup regression", file=sys.stderr)
+        return 1
+    unprotected = bench.get("unprotected")
+    if unprotected is None or not unprotected.get("identical_records", False):
+        print("FAIL: BENCH_batch.json has no unprotected cell, or its fork "
+              "and batch records differ", file=sys.stderr)
+        return 1
+    rows = [(f"div-{engine}",
+             unprotected[engine]["normalised_throughput"],
+             baseline[f"unprotected_{engine}"])
+            for engine in ("fork", "batch")]
+    failures = _gate_rows(f"divergent-cell gate ({mode} baseline, runs per "
+                          f"golden-run time)", rows, tolerance)
+    if failures:
+        print(f"FAIL: divergent-cell throughput regression in "
+              f"{', '.join(failures)}", file=sys.stderr)
         return 1
     return 0
 

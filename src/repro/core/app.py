@@ -43,6 +43,9 @@ class GoldenRun:
     #: pickled into campaign worker processes — the snapshots dwarf the rest
     #: of the payload and workers rebuild the store locally on first use.
     checkpoint_store: Optional[CheckpointStore] = None
+    #: The golden output scored against itself: the fidelity of every
+    #: error-free run, memoized by :meth:`ErrorTolerantApp.golden_fidelity`.
+    fidelity: Optional[FidelityResult] = None
 
     @property
     def watchdog_budget(self) -> int:
@@ -260,6 +263,17 @@ class ErrorTolerantApp(abc.ABC):
         budget = max_instructions if max_instructions is not None else golden.watchdog_budget
         machine = Machine(self.program())
         return run_batched(machine, plans, self.checkpoint_store(seed), budget)
+
+    def golden_fidelity(self, seed: int = 0) -> FidelityResult:
+        """Fidelity of the golden run for ``seed`` scored against itself.
+
+        Every error-free run reproduces the golden run exactly, so this is
+        their fidelity too; it is scored once per seed.
+        """
+        golden = self.golden(seed)
+        if golden.fidelity is None:
+            golden.fidelity = self.score_run(golden.result, seed=seed)
+        return golden.fidelity
 
     def score_run(self, result: RunResult, seed: int = 0) -> Optional[FidelityResult]:
         """Score a completed run against the golden reference (None if it failed)."""

@@ -25,7 +25,7 @@ import dataclasses
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.app import ErrorTolerantApp, GoldenRun
+from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
 from ..sim import ProtectionMode, get_model, plan_injections
 
@@ -37,25 +37,48 @@ RunTask = Tuple[int, int, ProtectionMode]
 _BATCH_FALLBACK_WARNED: set = set()
 
 
+#: Engines whose error-free records come from the memoized golden run
+#: instead of a re-execution.  The ``decoded`` and ``reference`` engines
+#: keep executing those runs, so the oracle chain still checks the golden
+#: path against them.
+GOLDEN_RECORD_ENGINES = ("fork", "batch")
+
+
 def make_record(app: ErrorTolerantApp, config, run_index: int, errors: int,
-                mode: ProtectionMode, golden: Optional[GoldenRun] = None) -> RunRecord:
+                mode: ProtectionMode) -> RunRecord:
     """Execute one campaign run and build its record.
 
     Shared by every executor backend (and their remote workers), so all
     paths derive the injection plan from identical inputs — the basis of
     the cross-backend determinism guarantee.
+
+    An error-free run (``errors == 0`` or ``mode`` NONE) is the golden
+    run itself: under the fork and batch engines its record is built from
+    the memoized :class:`GoldenRun` — outcome, instruction count and the
+    golden output scored against itself — without executing anything.
     """
     workload_seed = config.workload_seed_for(run_index)
-    if golden is None:
-        golden = app.golden(workload_seed)
+    golden = app.golden(workload_seed)
     model = get_model(config.model)
-    population = model.population(golden, mode)
-    injection_seed = config.seed_for(run_index) + 104729 * errors
-    if errors > 0 and mode is not ProtectionMode.NONE:
-        plan = plan_injections(errors, population, mode, seed=injection_seed,
-                               model=model.name)
-    else:
+    if errors <= 0 or mode is ProtectionMode.NONE:
+        if config.engine in GOLDEN_RECORD_ENGINES:
+            return RunRecord(
+                run_index=run_index,
+                seed=workload_seed,
+                mode=mode,
+                errors_requested=errors,
+                errors_injected=0,
+                outcome=golden.result.outcome,
+                executed=golden.executed,
+                fidelity=app.golden_fidelity(workload_seed),
+                fault_kind=None,
+                model=model.name,
+            )
         plan = None
+    else:
+        injection_seed = config.seed_for(run_index) + 104729 * errors
+        plan = plan_injections(errors, model.population(golden, mode), mode,
+                               seed=injection_seed, model=model.name)
     run = app.run_once(injection=plan, seed=workload_seed, engine=config.engine)
     return _build_record(app, run_index, errors, mode, plan, run,
                          workload_seed, model.name)
@@ -87,8 +110,8 @@ def make_records(app: ErrorTolerantApp, config,
     The scalar engines simply map :func:`make_record` over the tasks.
     Under ``config.engine == "batch"`` the injectable tasks are grouped by
     ``(workload_seed, mode)``, chunked to ``config.batch_size`` and fed to
-    the numpy lockstep engine (:mod:`repro.sim.batch`); error-free and
-    unprotectable tasks keep the scalar path.  Injection plans are derived
+    the numpy lockstep engine (:mod:`repro.sim.batch`); error-free tasks
+    keep :func:`make_record`.  Injection plans are derived
     from exactly the same ``(base_seed, run_index, errors, model)`` inputs
     as :func:`make_record`, so the record stream stays bit-identical to
     the scalar engines, in task order.
@@ -126,11 +149,6 @@ def make_records(app: ErrorTolerantApp, config,
         injection_seed = config.seed_for(run_index) + 104729 * errors
         plan = plan_injections(errors, population, mode, seed=injection_seed,
                                model=model.name)
-        if not plan.targets:
-            # Nothing exposed to hit (population 0): scalar golden-path run.
-            records[pos] = make_record(app, config, run_index, errors, mode,
-                                       golden=golden)
-            continue
         groups.setdefault((workload_seed, mode), []).append(
             (pos, run_index, errors, plan))
     batch_size = max(1, getattr(config, "batch_size", 256))

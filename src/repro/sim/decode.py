@@ -1258,6 +1258,14 @@ class ClassVectors:
     exposed_protected: List[int] = field(default_factory=list)
     exposed_unprotected: List[int] = field(default_factory=list)
 
+    def exposed(self, mode: ProtectionMode) -> List[int]:
+        """Static indices of the instructions exposed under ``mode``."""
+        if mode is ProtectionMode.PROTECTED:
+            return self.exposed_protected
+        if mode is ProtectionMode.UNPROTECTED:
+            return self.exposed_unprotected
+        return []
+
 
 @dataclass
 class DecodedProgram:
@@ -1297,23 +1305,25 @@ class DecodedProgram:
         return [False] * self.text_len
 
     def bind_injected(self, machine, plan: InjectionPlan,
-                      exposed_start: int = 0,
+                      state: Optional[List[int]] = None,
                       fast: Optional[List[Handler]] = None) -> List[Handler]:
         """Bind handlers with injection wrappers on exposed instructions.
 
-        ``exposed_start`` seeds the exposed-dynamic counter, which lets the
-        fork engine (:mod:`repro.sim.fork`) resume an injected run from a
-        mid-run checkpoint: the counter continues from the number of exposed
-        dynamic instructions already executed in the golden prefix, so the
-        plan's absolute targets fire at exactly the same dynamic occurrences
-        as in a from-scratch run.
+        ``state`` is the wrappers' shared ``[next-target pointer,
+        exposed-dynamic counter]`` list, ``[0, 0]`` for a from-scratch run.
+        A caller that passes its own list may re-seed it between stretches
+        of execution, which lets the fork engine (:mod:`repro.sim.fork`)
+        run fast handlers up to just before a target and then hand over to
+        the wrappers with the pointer and counter it derived from the
+        execution counts: the plan's absolute targets still fire at exactly
+        the same dynamic occurrences as in a from-scratch run.
 
         ``fast`` reuses an already-bound fast handler table for the same
         machine instead of binding a fresh one (the list is copied, not
-        mutated).  Once every planned injection has fired, the wrappers only
-        advance the exposed counter — state evolution is identical to the
-        fast table — so a caller holding ``fast`` may swap it back in to
-        execute the rest of the run at full speed, as the fork engine does.
+        mutated).  Wrappers that have no target left to fire only advance
+        the exposed counter — state evolution is identical to the fast
+        table — so a caller holding ``fast`` may swap it in for any stretch
+        whose exposed count it tracks itself, as the fork engine does.
 
         The plan's :mod:`fault model <repro.sim.models>` supplies the site
         flags and corruption: the default ``control-bit`` model keeps the
@@ -1334,7 +1344,8 @@ class DecodedProgram:
         flags = (self.exposure(plan.mode) if default_model
                  else model.exposure(self, plan.mode))
         targets = list(plan.targets)
-        state = [0, exposed_start]  # [next-target pointer, exposed-dynamic counter]
+        if state is None:
+            state = [0, 0]  # [next-target pointer, exposed-dynamic counter]
         specs = self.specs
         ops = self.ops
         opnames = self.opnames

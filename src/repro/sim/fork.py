@@ -13,9 +13,14 @@ O(divergence) instead of O(program length):
   vector, per-mode exposed-dynamic counters) at periodic instruction-count
   checkpoints.
 * :func:`run_forked` restores the nearest checkpoint at or before the
-  run's first injection target, replays only the short gap with the
-  resumable injected binding (:meth:`DecodedProgram.bind_injected` with
-  ``exposed_start``), and simulates forward from there.
+  run's first injection target and simulates forward from there.
+* **Skip-ahead**: the run's site counter is the summed execution count of
+  the exposed instructions of the plan's stream, and one instruction
+  advances it by at most one, so ``targets[fired] - counter`` instructions
+  on the fast handler table can never pass the next target.  The
+  injection wrappers (:meth:`DecodedProgram.bind_injected`, their shared
+  ``state`` seeded with ``[fired, counter]``) only execute the short
+  stretch just before each target.
 * **Convergence early-exit**: once every planned injection has fired, the
   engine compares machine state against the golden trace at each
   checkpoint-grid boundary (registers and pc directly, memory against an
@@ -24,20 +29,40 @@ O(divergence) instead of O(program length):
   memory image, exit value — and the run terminates immediately, so
   fully-masked faults cost little more than the replay gap.
 
-The comparison is *exact*, not probabilistic: a splice happens only when
+* **Periodic hangs**: once every injection has fired and no golden
+  checkpoint is left to splice against, the tail runs under Brent's cycle
+  detection over pc, both register files, the memory cells and the output
+  lengths.  With every fault fired, the next state is a function of
+  exactly that state, so an exact repeat after ``period`` instructions
+  repeats until the watchdog: the run adds the ``k`` whole periods left in
+  the budget to ``executed`` and ``k`` times the per-pc count delta to the
+  execution counts, executes the last partial period, and hangs at the
+  same dynamic index, with the same state, as a full run.  A run past the
+  golden length that stops reaching sites short of a pending target gets
+  the same treatment with the wrappers bound and their state compared
+  too: a repeat then executed no site, so the target never fires.  Loops
+  that count never repeat and run out the budget as before.
+
+The comparisons are *exact*, not probabilistic: a splice happens only when
 registers, pc, per-channel output lengths and the full memory image equal
 the golden state at the same dynamic instruction index, which (execution
 being deterministic) guarantees the spliced :class:`RunResult` is
-bit-identical to what a full run would have produced.  Runs that never
-re-converge — crashes, hangs, persistently corrupted state — simply run to
-their natural end under the exact semantics of the decoded engine,
-including watchdog and fault behaviour.
+bit-identical to what a full run would have produced; a cycle is taken
+only on the same state down to value types and the sign of zero.  Runs
+that do neither — crashes, counting hangs, persistently corrupted state —
+run to their natural end under the exact semantics of the decoded
+engine, including watchdog and fault behaviour.
+
+Error-free runs never reach this module: under the fork and batch engines
+their records come from the memoized golden run
+(:func:`repro.exec.base.make_record`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import copysign
 from typing import Dict, List, Optional
 
 from ..isa.registers import RV
@@ -50,6 +75,16 @@ from .faults import InjectionPlan, ProtectionMode
 #: replay gap and the convergence-detection latency, at the cost of capture
 #: time and snapshot memory.
 DEFAULT_CHECKPOINT_COUNT = 128
+#: A forked run binds the injection wrappers once the next target is at
+#: most this many exposed instructions away; farther targets are
+#: approached on the fast handler table.
+WRAP_GAP = 64
+#: Instructions per wrapped stretch: after each, the run reads the
+#: wrappers' target pointer and site counter to decide how to go on.
+WRAP_STRETCH = 128
+#: Instructions in the first cycle-detection window of a run's tail; each
+#: further window is twice as long (Brent's power-of-two schedule).
+CYCLE_WINDOW = 1024
 
 
 class _TrackingCells(dict):
@@ -128,7 +163,16 @@ class CheckpointStore:
     # Telemetry for benchmarks: how much work forked runs actually did.
     forked_runs: int = 0
     spliced_runs: int = 0
+    #: Dynamic instructions forked runs covered past their restore point
+    #: (``executed - start.executed``), counting instructions a cycle
+    #: jump accounted for without executing them.
     replayed_instructions: int = 0
+    #: Forked runs whose tail repeated its state exactly and jumped whole
+    #: periods forward to the watchdog.
+    cycle_hangs: int = 0
+    #: Instructions those jumps accounted for without executing them (a
+    #: part of ``replayed_instructions``).
+    skipped_instructions: int = 0
     #: Lanes the lockstep batch engine (:mod:`repro.sim.batch`) could not
     #: carry and handed to :func:`run_forked` as scalar runs.
     batch_retired_runs: int = 0
@@ -240,6 +284,20 @@ def build_checkpoint_store(machine, expected,
     )
 
 
+def _identical(pairs) -> bool:
+    """True when every ``(a, b)`` pair of ``==``-equal values is identical.
+
+    ``==`` equates ``1`` with ``1.0`` and ``0.0`` with ``-0.0``, which
+    later instructions and the final memory image tell apart; NaNs only
+    compare equal as the same object, so they need no extra care.  (The
+    integer registers only ever hold ints, for which ``==`` suffices.)
+    """
+    for a, b in pairs:
+        if type(a) is not type(b) or (not a and copysign(1.0, a) != copysign(1.0, b)):
+            return False
+    return True
+
+
 def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
                max_instructions: int):
     """Execute an injected run by forking off the golden checkpoint trace.
@@ -292,31 +350,24 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
         outputs[channel] = store.final_outputs[channel][:length]
     exec_counts = list(start.exec_counts)
 
-    fast_handlers = decoded.bind(machine)
-    handlers = decoded.bind_injected(
-        machine, plan, exposed_start=start.exposed_count(grid_mode),
-        fast=fast_handlers,
-    )
-
-    # Golden shadow image: the golden memory at the grid boundary the run
-    # is currently crossing, maintained incrementally from the deltas.
-    shadow = dict(cells)
-    epoch = start_index + 1
-    n_checkpoints = len(checkpoints)
+    fast = decoded.bind(machine)
+    # The wrappers' [next-target pointer, exposed counter], re-seeded
+    # before every wrapped stretch.
+    wrapper_state = [0, 0]
+    wrapped = decoded.bind_injected(machine, plan, state=wrapper_state,
+                                    fast=fast)
+    # Every fork-compatible model's sites are the grid mode's exposed
+    # instructions, so the site counter is their summed execution counts.
+    exposed = decoded.classes.exposed(grid_mode)
+    count_at = exec_counts.__getitem__
 
     pc = start.pc
     executed = start.executed
-    interval = store.interval
-    next_boundary = executed + interval
-    limit = min(next_boundary, max_instructions)
-    ntargets = len(plan.targets)
-    events = plan.events
-    # Count only events fired by *this* run: a caller reusing a plan object
-    # leaves earlier runs' events in the list, and mistaking those for this
-    # run's flips would swap handlers / splice before anything fired.  (The
-    # decoded engine re-fires every target for a reused plan; counting from
-    # the baseline keeps the two engines bit-identical in that case too.)
-    events_fired_before = len(events)
+    budget = max_instructions
+    targets = plan.targets
+    ntargets = len(targets)
+    fired = 0
+    sites = start.exposed_count(grid_mode)
     int_regs = machine.int_regs
     float_regs = machine.float_regs
 
@@ -329,40 +380,140 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     # must still grind forward to hit the watchdog at the same dynamic
     # index a full run would.
     can_splice = store.final_executed <= max_instructions
+    # Golden shadow image, advanced lazily to the checkpoint compared.
+    shadow = dict(cells) if can_splice else None
+    shadow_epoch = start_index + 1
 
     try:
-        while pc != text_len:
-            if executed >= limit:
-                if executed >= max_instructions:
-                    raise WatchdogExpired(executed, max_instructions)
-                # Crossing a golden grid boundary.  Once every injection has
-                # fired the wrappers only advance the exposed counter, which
-                # nothing observes any more — swap the fast handler table
-                # back in so the suffix executes at full speed.
-                all_fired = len(events) - events_fired_before == ntargets
-                if handlers is not fast_handlers and all_fired:
-                    handlers = fast_handlers
-                # Advance the shadow image and, once every injection has
-                # fired, test re-convergence against the golden state.
-                if epoch < n_checkpoints and checkpoints[epoch].executed == executed:
-                    golden = checkpoints[epoch]
-                    epoch += 1
-                    shadow.update(golden.memory_delta)
-                    if (can_splice
-                            and all_fired
-                            and pc == golden.pc
-                            and int_regs == golden.int_regs
-                            and float_regs == golden.float_regs
-                            and {ch: len(v) for ch, v in outputs.items()}
-                            == golden.output_lens
-                            and cells == shadow):
-                        converged = golden
-                        break
-                next_boundary += interval
-                limit = min(next_boundary, max_instructions)
-            exec_counts[pc] += 1
-            executed += 1
-            pc = handlers[pc]()
+        # --------------------------------------------------------------
+        # 1. Injection: fast stretches that cannot reach the next target
+        #    (each instruction advances the site counter by at most one),
+        #    then a wrapped stretch that fires it.  A run past the golden
+        #    length whose last stretch reached no site may be spinning
+        #    short of its next target: it goes on in the tail.
+        # --------------------------------------------------------------
+        while fired < ntargets:
+            gap = targets[fired] - sites
+            if gap > WRAP_GAP:
+                handlers = fast
+                stop = executed + gap
+            else:
+                wrapper_state[0] = fired
+                wrapper_state[1] = sites
+                handlers = wrapped
+                stop = executed + WRAP_STRETCH
+            if stop > budget:
+                stop = budget
+            while executed < stop and pc != text_len:
+                exec_counts[pc] += 1
+                executed += 1
+                pc = handlers[pc]()
+            if pc == text_len:
+                break
+            if executed >= budget:
+                raise WatchdogExpired(executed, budget)
+            reached = sites
+            if handlers is fast:
+                sites = sum(map(count_at, exposed))
+            else:
+                fired, sites = wrapper_state
+            if sites == reached and executed >= store.final_executed:
+                break
+
+        # --------------------------------------------------------------
+        # 2. Convergence: at each later golden checkpoint, splice the
+        #    golden suffix if the state equals the golden state.
+        # --------------------------------------------------------------
+        # (A run leaves step 1 with a target pending only past the golden
+        # length, so past the last checkpoint.)
+        epoch = -(-executed // store.interval)
+        n_checkpoints = len(checkpoints) if can_splice else 0
+        while pc != text_len and epoch < n_checkpoints:
+            golden = checkpoints[epoch]
+            stop = golden.executed
+            while executed < stop and pc != text_len:
+                exec_counts[pc] += 1
+                executed += 1
+                pc = fast[pc]()
+            if pc == text_len:
+                break
+            for ckpt in checkpoints[shadow_epoch:epoch + 1]:
+                shadow.update(ckpt.memory_delta)
+            shadow_epoch = epoch + 1
+            epoch += 1
+            if (pc == golden.pc
+                    and int_regs == golden.int_regs
+                    and float_regs == golden.float_regs
+                    and {ch: len(v) for ch, v in outputs.items()}
+                    == golden.output_lens
+                    and cells == shadow):
+                converged = golden
+                break
+
+        # --------------------------------------------------------------
+        # 3. Tail: Brent cycle detection.  Each window snapshots the
+        #    state (the tortoise) and compares it whenever the run is back
+        #    at the same pc.  An exact repeat after ``period`` instructions
+        #    proves the run loops until the watchdog, so whole periods are
+        #    accounted for without executing them.  With targets pending,
+        #    the wrappers run and their state is part of the comparison: a
+        #    repeat then executed no exposed instruction, so no target
+        #    can ever fire.
+        # --------------------------------------------------------------
+        handlers = fast
+        if fired < ntargets:
+            wrapper_state[0] = fired
+            wrapper_state[1] = sites
+            handlers = wrapped
+        window = CYCLE_WINDOW
+        while converged is None and pc != text_len:
+            if executed >= budget:
+                raise WatchdogExpired(executed, budget)
+            if wrapper_state[0] == ntargets:
+                handlers = fast
+            anchor = pc
+            anchor_wrapper = list(wrapper_state)
+            anchor_int = list(int_regs)
+            anchor_float = list(float_regs)
+            anchor_cells = dict(cells)
+            anchor_outputs = {ch: len(v) for ch, v in outputs.items()}
+            anchor_counts = list(exec_counts)
+            anchor_executed = executed
+            stop = min(executed + window, budget)
+            window *= 2
+            while executed < stop and pc != text_len:
+                exec_counts[pc] += 1
+                executed += 1
+                pc = handlers[pc]()
+                if (pc == anchor
+                        and wrapper_state == anchor_wrapper
+                        and int_regs == anchor_int
+                        and float_regs == anchor_float
+                        and cells == anchor_cells
+                        and {ch: len(v) for ch, v in outputs.items()}
+                        == anchor_outputs
+                        and _identical(zip(float_regs, anchor_float))
+                        and _identical((value, anchor_cells[address])
+                                       for address, value in cells.items())):
+                    period = executed - anchor_executed
+                    periods = (budget - executed) // period
+                    if periods:
+                        skipped = periods * period
+                        executed += skipped
+                        exec_counts[:] = [
+                            now + periods * (now - then)
+                            for now, then in zip(exec_counts, anchor_counts)
+                        ]
+                        store.cycle_hangs += 1
+                        store.skipped_instructions += skipped
+                    # Fewer than ``period`` instructions remain: execute
+                    # them, stopping mid-period exactly where a full run
+                    # would, then hang.
+                    while executed < budget:
+                        exec_counts[pc] += 1
+                        executed += 1
+                        pc = handlers[pc]()
+                    raise WatchdogExpired(executed, budget)
     except SimFault as exc:
         outcome = Outcome.CRASH
         fault = exc

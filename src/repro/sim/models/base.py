@@ -115,7 +115,8 @@ class FaultModel(abc.ABC):
         The fork engine stores per-checkpoint exposed-dynamic counters for
         both protection modes; a model whose site stream equals one of
         those exposure streams returns the corresponding mode so forked
-        runs can seed ``bind_injected(exposed_start=...)`` from the grid.
+        runs can seed the injection wrappers' exposed counter from the
+        grid and from that mode's exposed execution counts.
         ``None`` means the stream is not tracked and the run must fall
         back to full-run execution.
         """

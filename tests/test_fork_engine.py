@@ -23,8 +23,13 @@ import zlib
 import pytest
 
 from repro.apps import small_suite
+from repro.assembler import ProgramBuilder
 from repro.core import CampaignConfig, CampaignRunner
-from repro.sim import Machine, ProtectionMode, get_model, plan_injections
+from repro.isa import F, R
+from repro.sim import (InjectionPlan, Machine, ProtectionMode, get_model,
+                       plan_injections)
+from repro.sim.batch import run_batched
+from repro.sim.fork import WRAP_GAP, build_checkpoint_store
 
 from test_engine_differential import nan_equal
 
@@ -193,6 +198,41 @@ def test_fork_campaigns_match_decoded_campaigns(suite):
         app, CampaignConfig(runs=8, base_seed=21, engine="fork")
     ).run_campaign(4, ProtectionMode.PROTECTED)
     assert forked.records == decoded.records
+
+
+def test_error_free_records_come_from_the_golden_run(suite, monkeypatch):
+    """e=0 and mode=none records under the fork and batch engines are
+    built from the memoized golden run, byte-identical to the decoded
+    engine's records, which still execute every such run."""
+    from repro.exec import make_records
+
+    calls = []
+    original_run = Machine.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(kwargs.get("engine", "decoded"))
+        return original_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counting_run)
+    tasks = [(run_index, errors, mode)
+             for run_index in range(3)
+             for errors, mode in ((0, ProtectionMode.PROTECTED),
+                                  (0, ProtectionMode.UNPROTECTED),
+                                  (0, ProtectionMode.NONE),
+                                  (4, ProtectionMode.NONE))]
+    for name in APP_NAMES:
+        app = suite[name]
+        records = {}
+        for engine in ("decoded", "fork", "batch"):
+            config = CampaignConfig(runs=3, base_seed=61, engine=engine)
+            app.warm(seeds={config.workload_seed_for(index)
+                            for index in range(3)})
+            del calls[:]
+            records[engine] = [record.to_json()
+                               for record in make_records(app, config, tasks)]
+            assert len(calls) == (len(tasks) if engine == "decoded" else 0)
+        assert records["fork"] == records["decoded"], name
+        assert records["batch"] == records["decoded"], name
 
 
 # ----------------------------------------------------------------------
@@ -397,3 +437,317 @@ def test_checkpoint_store_is_not_pickled(suite):
     assert getattr(program, "_decoded_cache", None) is not None
     revived_program = pickle.loads(pickle.dumps(program))
     assert getattr(revived_program, "_decoded_cache", None) is None
+
+
+# ----------------------------------------------------------------------
+# Skip-ahead and periodic-hang jumps on hand-built programs.
+# ----------------------------------------------------------------------
+#
+# ``_spin_program`` runs a straight block of 100 exposed ``addi``s, counts
+# a preamble loop up to 200, then executes the victim ``li $8, 0``
+# (exposed dynamic instruction 503: ``la`` and two ``li``, the block, then
+# per iteration the counting ``addi`` at an odd index and a harmless
+# ``add`` at an even one) and a spin loop that exits at once while ``$8``
+# is 0.  Any corruption of the victim's result
+# makes ``$8`` non-zero, so the run spins until the watchdog.  Every
+# register write is tagged low-reliability, so both protection modes (and
+# the protected-stream data-bit model) see the same site stream.
+
+VICTIM = 503
+
+
+def _spin_program(spin_body):
+    builder = ProgramBuilder()
+    builder.data("buf", 4)
+    with builder.function("main"):
+        builder.la(R(9), "buf")
+        builder.li(R(10), 0)
+        builder.li(R(11), 200)
+        for _ in range(100):
+            builder.addi(R(15), R(15), 1)
+        builder.label("pre")
+        builder.addi(R(10), R(10), 1)
+        builder.add(R(14), R(10), R(10))
+        builder.sw(R(10), R(9), 0)
+        builder.blt(R(10), R(11), "pre")
+        builder.li(R(8), 0)
+        builder.li(R(12), 7)
+        builder.label("spin")
+        spin_body(builder)
+        builder.bnez(R(8), "spin")
+        builder.out(R(10))
+        builder.halt()
+    program = builder.build()
+    for instruction in program.instructions:
+        instruction.low_reliability = instruction.writes_register
+    return program
+
+
+def _exact_spin(builder):
+    """Period 3: re-store an unchanged value, rewrite a constant."""
+    builder.sw(R(12), R(9), 1)
+    builder.addi(R(13), R(0), 5)
+
+
+def _store_spin(builder):
+    """Period 2 with no register write, so no exposed instruction."""
+    builder.sw(R(12), R(9), 1)
+
+
+def _sign_spin(builder):
+    """Toggle ``$f1`` between 0.0 and -0.0 and store it: ``==`` sees a
+    repeat after one pass, but the state only repeats after two."""
+    builder.fneg(F(1), F(1))
+    builder.fsw(F(1), R(9), 2)
+
+
+def _padded_spin(builder):
+    """150 instructions that write no register, then a constant write:
+    the machine state repeats every pass, the site counter does not."""
+    for _ in range(150):
+        builder.nop()
+    builder.addi(R(13), R(0), 5)
+
+
+def _counter_spin(builder):
+    """Period 2 in pc, but ``$13`` counts up: the state never repeats."""
+    builder.addi(R(13), R(13), 1)
+
+
+def _hand_store(program, count=128):
+    golden = Machine(program).run()
+    assert golden.outcome == "completed"
+    return golden, build_checkpoint_store(Machine(program), golden, count)
+
+
+def _hand_plan(targets, model="control-bit", mode=ProtectionMode.UNPROTECTED,
+               seed=11):
+    return InjectionPlan(mode=mode, targets=list(targets), seed=seed,
+                         model=model)
+
+
+def _hand_pair(program, store, targets, budget, **plan_kwargs):
+    """(decoded, forked) results of the same plan under ``budget``."""
+    full = Machine(program).run(max_instructions=budget,
+                                injection=_hand_plan(targets, **plan_kwargs))
+    forked = Machine(program).run(max_instructions=budget,
+                                  injection=_hand_plan(targets, **plan_kwargs),
+                                  engine="fork", checkpoints=store)
+    return full, forked
+
+
+def test_exact_cycle_jumps_to_the_watchdog():
+    program = _spin_program(_exact_spin)
+    golden, store = _hand_store(program)
+    budget = 8 * golden.executed
+    full, forked = _hand_pair(program, store, [VICTIM], budget)
+    _assert_identical(full, forked)
+    assert full.outcome == "hang" and full.executed == budget
+    assert store.cycle_hangs == 1
+    # Whole periods of three instructions were accounted for, not run.
+    assert store.skipped_instructions > budget // 2
+    assert store.skipped_instructions % 3 == 0
+    start = store.checkpoints[store.select(VICTIM, ProtectionMode.UNPROTECTED,
+                                           budget)]
+    assert store.replayed_instructions == budget - start.executed
+
+
+def test_exact_cycle_with_a_target_left_unreached_jumps():
+    """A spin with no exposed instruction never reaches the plan's later
+    target; the wrappers' state repeats with the machine state, so the
+    run still jumps, and the unreached target never fires."""
+    program = _spin_program(_store_spin)
+    golden, store = _hand_store(program)
+    budget = 8 * golden.executed
+    full, forked = _hand_pair(program, store, [VICTIM, VICTIM + 5], budget)
+    _assert_identical(full, forked)
+    assert full.outcome == "hang" and full.injection.injected_errors == 1
+    assert store.cycle_hangs == 1
+    assert store.skipped_instructions % 2 == 0
+
+
+def test_spin_reaching_a_late_target_fires_it_before_jumping():
+    """The exact spin rewrites ``$13`` with a constant, so its machine
+    state repeats while a later target is still pending; the target's
+    counter does not, and the run must spin on until the target fires."""
+    program = _spin_program(_exact_spin)
+    golden, store = _hand_store(program)
+    budget = 8 * golden.executed
+    late = VICTIM + 1 + 2 * 700  # the spin's ``addi``, 700 passes in
+    full, forked = _hand_pair(program, store, [VICTIM, late], budget)
+    _assert_identical(full, forked)
+    assert full.outcome == "hang" and full.injection.injected_errors == 2
+    assert store.cycle_hangs == 1
+
+
+def test_tail_with_a_pending_target_compares_the_site_counter():
+    """Stretches of the padded spin that reach no site send the run to
+    the tail with its target still pending; the machine state repeats
+    every pass there, but the wrappers' counter moves on, so the run must
+    not jump before the target fires."""
+    program = _spin_program(_padded_spin)
+    golden, store = _hand_store(program)
+    budget = 8 * golden.executed
+    late = VICTIM + 2 + 8  # ``li $12``, then one ``addi`` per pass
+    full, forked = _hand_pair(program, store, [VICTIM, late], budget)
+    _assert_identical(full, forked)
+    assert full.outcome == "hang" and full.injection.injected_errors == 2
+    assert store.cycle_hangs == 1
+
+
+def test_skip_ahead_stops_exactly_short_of_the_target():
+    """A sparse checkpoint grid leaves long gaps, and in the straight
+    block every instruction is exposed: a fast stretch one instruction
+    longer than the gap would pass the target."""
+    program = _spin_program(_counter_spin)
+    golden, store = _hand_store(program, count=2)
+    for target in (WRAP_GAP + 1, WRAP_GAP + 2, 100, 102):
+        full, forked = _hand_pair(program, store, [target, VICTIM - 1],
+                                  8 * golden.executed)
+        _assert_identical(full, forked)
+        assert forked.injection.injected_errors == 2
+
+
+def test_cycle_needs_identical_bits_not_just_equal_values():
+    """0.0 == -0.0, so a check on ``==`` alone would take half the true
+    period and, for an odd number of jumped half-periods, leave the
+    stored zero with the wrong sign."""
+    program = _spin_program(_sign_spin)
+    golden, store = _hand_store(program)
+    for budget in range(8 * golden.executed, 8 * golden.executed + 12):
+        full, forked = _hand_pair(program, store, [VICTIM], budget)
+        _assert_identical(full, forked)
+        assert repr(sorted(forked.memory.cells.items())) == repr(
+            sorted(full.memory.cells.items()))
+    assert store.cycle_hangs == 12
+
+
+def test_counter_loop_runs_out_the_budget():
+    program = _spin_program(_counter_spin)
+    golden, store = _hand_store(program)
+    budget = 8 * golden.executed
+    full, forked = _hand_pair(program, store, [VICTIM], budget)
+    _assert_identical(full, forked)
+    assert full.outcome == "hang" and full.executed == budget
+    assert store.cycle_hangs == 0
+    assert store.skipped_instructions == 0
+
+
+def test_repeat_with_less_than_one_period_left_does_not_jump():
+    """The repeat point does not depend on the budget, so the smallest
+    budget that jumps skips exactly one period; one instruction less of
+    budget leaves the same repeat less than a period to go, and the run
+    must stop mid-period exactly where a full run does."""
+    program = _spin_program(_exact_spin)
+    golden, store = _hand_store(program)
+
+    def jumps(budget):
+        before = store.cycle_hangs
+        Machine(program).run(max_instructions=budget,
+                             injection=_hand_plan([VICTIM]),
+                             engine="fork", checkpoints=store)
+        return store.cycle_hangs > before
+
+    low, high = golden.executed, 8 * golden.executed
+    assert not jumps(low) and jumps(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if jumps(middle):
+            high = middle
+        else:
+            low = middle
+    skipped = store.skipped_instructions
+    assert jumps(high)
+    assert store.skipped_instructions - skipped == 3
+    for budget in (high - 3, high - 2, high - 1, high):
+        full, forked = _hand_pair(program, store, [VICTIM], budget)
+        _assert_identical(full, forked)
+        assert forked.outcome == "hang" and forked.executed == budget
+
+
+def test_budget_below_the_restore_point_hangs_like_a_full_run():
+    program = _spin_program(_exact_spin)
+    golden, store = _hand_store(program)
+    restore = store.checkpoints[
+        store.select(VICTIM, ProtectionMode.UNPROTECTED, golden.executed)]
+    assert restore.executed > 300
+    for budget in (0, 1, 300, restore.executed):
+        full, forked = _hand_pair(program, store, [VICTIM], budget)
+        _assert_identical(full, forked)
+        assert forked.outcome == "hang" and forked.executed == budget
+    assert store.cycle_hangs == 0
+
+
+def test_skip_ahead_target_edges():
+    """Targets at a checkpoint's own exposed count (no gap to skip),
+    adjacent targets, and targets far enough apart to skip between.  Even
+    targets hit the harmless ``add``, so those plans fire in full."""
+    program = _spin_program(_counter_spin)
+    golden, store = _hand_store(program)
+    grid = store.exposed_grid(ProtectionMode.UNPROTECTED)
+    at_checkpoint = grid[len(grid) // 2]
+    cases = [
+        [at_checkpoint],
+        [at_checkpoint, at_checkpoint + 1],
+        [0, 1, 2],
+        [4, 6, 300, 302, VICTIM - 1],
+        [10, 240, VICTIM],
+    ]
+    for targets in cases:
+        full, forked = _hand_pair(program, store, targets, 8 * golden.executed)
+        _assert_identical(full, forked)
+    assert forked.injection.injected_errors == 3
+    assert full.outcome == "hang"
+    even, = [targets for targets in cases if targets[0] == 4]
+    full, forked = _hand_pair(program, store, even, 8 * golden.executed)
+    _assert_identical(full, forked)
+    assert forked.injection.injected_errors == len(even)
+
+
+def test_skip_ahead_reused_plan():
+    program = _spin_program(_counter_spin)
+    golden, store = _hand_store(program)
+    budget = 8 * golden.executed
+    reused = _hand_plan([40, 42, 180])
+    fresh = _hand_plan([40, 42, 180])
+    for _ in range(2):
+        forked = Machine(program).run(max_instructions=budget,
+                                      injection=reused, engine="fork",
+                                      checkpoints=store)
+        full = Machine(program).run(max_instructions=budget, injection=fresh)
+        assert forked.outcome == full.outcome
+        assert forked.executed == full.executed
+        assert forked.exec_counts == full.exec_counts
+        assert forked.memory.cells == full.memory.cells
+        assert reused.events == fresh.events
+    assert len(reused.events) == 6
+
+
+@pytest.mark.parametrize("model_name", BATCH_MODELS)
+def test_cycle_jump_for_every_fork_model(model_name):
+    """Fork path and batch-retired path of every fork-compatible model:
+    the victim's corruption spins the run, the lane retires from the
+    lockstep walk, and both paths jump to the watchdog exactly."""
+    program = _spin_program(_exact_spin)
+    golden, store = _hand_store(program)
+    budget = 8 * golden.executed
+    mode = ProtectionMode.PROTECTED
+    targets = [60, VICTIM]
+    full, forked = _hand_pair(program, store, targets, budget,
+                              model=model_name, mode=mode)
+    _assert_identical(full, forked)
+    assert full.outcome == "hang"
+    assert store.cycle_hangs == 1
+
+    lanes = run_batched(Machine(program),
+                        [_hand_plan(targets, model=model_name, mode=mode),
+                         _hand_plan([VICTIM + 1], model=model_name,
+                                    mode=mode)],
+                        store, budget)
+    assert store.batch_retired_runs >= 1
+    assert store.cycle_hangs == 2
+    _assert_lane_identical(full, lanes[0])
+    quiet = Machine(program).run(
+        max_instructions=budget,
+        injection=_hand_plan([VICTIM + 1], model=model_name, mode=mode))
+    _assert_lane_identical(quiet, lanes[1])
